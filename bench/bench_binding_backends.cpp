@@ -36,6 +36,7 @@
 #include "ara/com/someip_binding.hpp"
 #include "ara/generated.hpp"
 #include "ara/runtime.hpp"
+#include "common/buffer_pool.hpp"
 #include "common/flags.hpp"
 #include "common/histogram.hpp"
 #include "common/thread_pool.hpp"
@@ -139,12 +140,16 @@ WorkloadResult run_workloads(ara::com::TransportBinding& server,
 
   server.provide_method(kService, kEchoMethod,
                         [&server](const someip::Message& request, const net::Endpoint& from) {
-                          server.respond(request, from, request.payload);
+                          auto& pool = common::BufferPool::instance();
+                          server.respond(request, from, pool.acquire_copy(request.payload));
                         });
 
   return run_workload_harness(
       [&](auto done) {
-        client.call(kServerEp, kService, kEchoMethod, payload,
+        // Bindings recycle consumed payloads into BufferPool, so the
+        // per-message copies come from it too.
+        client.call(kServerEp, kService, kEchoMethod,
+                    common::BufferPool::instance().acquire_copy(payload),
                     [done = std::move(done)](const someip::Message&) { done(); });
       },
       [&](auto count) {
@@ -152,7 +157,9 @@ WorkloadResult run_workloads(ara::com::TransportBinding& server,
                          [count = std::move(count)](const someip::Message&) { count(); });
       },
       [&] { return server.subscriber_count(kService, kDataEvent) != 0; },
-      [&] { server.notify(kService, kDataEvent, payload); },
+      [&] {
+        server.notify(kService, kDataEvent, common::BufferPool::instance().acquire_copy(payload));
+      },
       [&] {
         server.remove_method(kService, kEchoMethod);
         client.unsubscribe(kServerEp, kService, kDataEvent);

@@ -135,6 +135,14 @@ StreamRow run_stream(ara::com::TransportBinding& server, ara::com::TransportBind
                            total_ns
                      : 0.0;
   client.unsubscribe(kServerEp, kService, kDataEvent);
+  // Wait until the server has dropped the subscription. Otherwise the next
+  // stream's subscriber_count() wait can pass on this stale entry, and with
+  // two receive workers the unsubscribe can even land after the next
+  // subscribe: that stream's frames then go nowhere and its batch wait
+  // never ends.
+  while (server.subscriber_count(kService, kDataEvent) != 0) {
+    std::this_thread::yield();
+  }
   row.bytes_delivered = bytes_delivered.load(std::memory_order_relaxed);
   return row;
 }

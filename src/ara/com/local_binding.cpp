@@ -233,34 +233,22 @@ void LocalBinding::respond(const someip::Message& request, const net::Endpoint& 
 
 void LocalBinding::notify(someip::ServiceId service, someip::EventId event,
                           std::vector<std::uint8_t> payload) {
-  std::vector<net::Endpoint> subscribers;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = subscribers_.find({service, event});
-    if (it != subscribers_.end()) {
-      subscribers = it->second;
-    }
-    ++notifications_sent_;
-  }
+  const net::EndpointSnapshot subscribers = snapshot_subscribers(service, event);
   // The tag (if any) must reach every subscriber; collect once and re-arm
-  // for each send. The payload is moved into the final send.
+  // for each send. The payload is moved into the final send; the others
+  // get pooled copies, which process() recycles like the original.
   const std::optional<someip::WireTag> tag = send_bypass_.collect();
   for (std::size_t i = 0; i < subscribers.size(); ++i) {
     if (tag.has_value()) {
       send_bypass_.deposit(*tag);
     }
-    someip::Message message;
-    message.service = service;
-    message.method = event;
-    message.client = client_id_;
-    message.type = someip::MessageType::kNotification;
-    if (i + 1 == subscribers.size()) {
-      message.payload = std::move(payload);
-    } else {
-      message.payload = payload;
-    }
+    someip::Message message = someip::Message::notification(service, event, client_id_);
+    message.payload = i + 1 == subscribers.size()
+                          ? std::move(payload)
+                          : common::BufferPool::instance().acquire_copy(payload);
     send_frame(subscribers[i], std::move(message));
   }
+  common::BufferPool::instance().release(std::move(payload));  // no subscriber took it
 }
 
 void LocalBinding::notify_loaned(someip::ServiceId service, someip::EventId event,
@@ -268,50 +256,35 @@ void LocalBinding::notify_loaned(someip::ServiceId service, someip::EventId even
   if (!payload) {
     return;
   }
-  // Snapshot the subscriber set into a fixed inline array — the general
-  // notify() copies the subscriber vector per call, which would be a
-  // per-frame allocation on the data plane's steady state. Fan-outs wider
-  // than the inline capacity fall back to a heap snapshot.
-  constexpr std::size_t kInlineSubscribers = 8;
-  net::Endpoint inline_subscribers[kInlineSubscribers];
-  std::vector<net::Endpoint> overflow_subscribers;
-  const net::Endpoint* subscribers = inline_subscribers;
-  std::size_t count = 0;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = subscribers_.find({service, event});
-    if (it != subscribers_.end()) {
-      if (it->second.size() <= kInlineSubscribers) {
-        count = it->second.size();
-        std::copy(it->second.begin(), it->second.end(), inline_subscribers);
-      } else {
-        overflow_subscribers = it->second;
-        subscribers = overflow_subscribers.data();
-        count = overflow_subscribers.size();
-      }
-    }
-    ++notifications_sent_;
-  }
+  const net::EndpointSnapshot subscribers = snapshot_subscribers(service, event);
   // The tag (if any) must reach every subscriber; collect once and re-arm
   // for each send. The slab is never copied: each message carries a
   // refcount retain on the same storage, the last one moves the handle.
   const std::optional<someip::WireTag> tag = send_bypass_.collect();
-  for (std::size_t i = 0; i < count; ++i) {
+  for (std::size_t i = 0; i < subscribers.size(); ++i) {
     if (tag.has_value()) {
       send_bypass_.deposit(*tag);
     }
-    someip::Message message;
-    message.service = service;
-    message.method = event;
-    message.client = client_id_;
-    message.type = someip::MessageType::kNotification;
-    if (i + 1 == count) {
+    someip::Message message = someip::Message::notification(service, event, client_id_);
+    if (i + 1 == subscribers.size()) {
       message.loaned = std::move(payload);
     } else {
       message.loaned = payload;
     }
     send_frame(subscribers[i], std::move(message));
   }
+}
+
+net::EndpointSnapshot LocalBinding::snapshot_subscribers(someip::ServiceId service,
+                                                         someip::EventId event) {
+  net::EndpointSnapshot subscribers;
+  const std::lock_guard<std::mutex> lock(mutex_);
+  const auto it = subscribers_.find({service, event});
+  if (it != subscribers_.end()) {
+    subscribers.assign(it->second);
+  }
+  ++notifications_sent_;
+  return subscribers;
 }
 
 std::size_t LocalBinding::subscriber_count(someip::ServiceId service, someip::EventId event) const {
@@ -389,6 +362,9 @@ void LocalBinding::process(Frame& frame) {
   // A tag the handler did not collect is stale; clear it so it cannot be
   // mis-associated with the next untagged message.
   (void)receive_bypass_.collect();
+  // Delivered: payloads come from encode_payload or notify's pooled
+  // copies (or are empty), so they go back to the pool.
+  common::BufferPool::instance().release(std::move(message.payload));
 }
 
 void LocalBinding::handle_request(const someip::Message& message, const net::Endpoint& from) {

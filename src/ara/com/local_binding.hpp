@@ -148,6 +148,10 @@ class LocalBinding final : public TransportBinding {
   /// payload is moved, never copied or serialized.
   void send_frame(const net::Endpoint& destination, someip::Message message);
 
+  /// Copies the subscriber list under mutex_ and counts the notification.
+  [[nodiscard]] net::EndpointSnapshot snapshot_subscribers(someip::ServiceId service,
+                                                           someip::EventId event);
+
   void add_subscriber(someip::ServiceId service, someip::EventId event,
                       const net::Endpoint& subscriber);
   void remove_subscriber(someip::ServiceId service, someip::EventId event,

@@ -22,6 +22,13 @@
 // collect_received_tag() surrenders the tag of the message currently being
 // delivered. Both rely on the synchronous call nesting between transactor
 // and binding, exactly as in the paper.
+//
+// Payloads passed to call, call_no_return, respond and notify are consumed:
+// the backend recycles their storage into common::BufferPool once the
+// message is sent or delivered. Build them with someip::encode_payload (or
+// BufferPool::acquire / acquire_copy), never as plain vectors — every
+// buffer released into the pool must have been acquired from it, or the
+// pool grows to its byte budget.
 #pragma once
 
 #include <cstdint>
@@ -113,8 +120,9 @@ class TransportBinding {
       return;
     }
     obs::count_always(obs::Counter::kDataplanePayloadCopies);
-    notify(service, event,
-           std::vector<std::uint8_t>(payload.data(), payload.data() + payload.size()));
+    std::vector<std::uint8_t> bytes = common::BufferPool::instance().acquire(payload.size());
+    bytes.assign(payload.data(), payload.data() + payload.size());
+    notify(service, event, std::move(bytes));
   }
 
   [[nodiscard]] virtual std::size_t subscriber_count(someip::ServiceId service,

@@ -13,12 +13,14 @@
 
 #include <cstring>
 #include <functional>
+#include <mutex>
 #include <type_traits>
 #include <utility>
 
 #include "ara/proxy.hpp"
 #include "ara/skeleton.hpp"
 #include "common/buffer_pool.hpp"
+#include "common/slot_table.hpp"
 #include "someip/serialization.hpp"
 
 namespace dear::ara {
@@ -126,8 +128,7 @@ class ProxyEvent {
           if (immediate_) {
             handler_(sample);
           } else {
-            proxy_.runtime().dispatcher().post(
-                [this, sample = std::move(sample)] { handler_(sample); });
+            dispatch(std::move(sample));
           }
         });
   }
@@ -145,11 +146,33 @@ class ProxyEvent {
   [[nodiscard]] someip::EventId id() const noexcept { return event_; }
 
  private:
+  /// Posts the handler call. The sample waits in a slot table, so the task
+  /// is [this, slot] and dispatching allocates nothing once warm.
+  void dispatch(T sample) {
+    std::size_t slot = 0;
+    {
+      const std::lock_guard<std::mutex> lock(dispatch_mutex_);
+      slot = dispatched_.put(std::move(sample));
+    }
+    proxy_.runtime().dispatcher().post([this, slot] {
+      T sample;
+      {
+        const std::lock_guard<std::mutex> lock(dispatch_mutex_);
+        sample = dispatched_.take(slot);
+      }
+      handler_(sample);
+    });
+  }
+
   ServiceProxy& proxy_;
   someip::EventId event_;
   ReceiveHandler handler_;
   bool subscribed_{false};
   bool immediate_{false};
+  /// Samples between receive and dispatched handler run (the receive path
+  /// and the dispatcher may be different threads).
+  std::mutex dispatch_mutex_;
+  common::SlotTable<T> dispatched_;
 };
 
 }  // namespace dear::ara

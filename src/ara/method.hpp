@@ -181,7 +181,8 @@ class ProxyMethod {
         binding.attach_send_tag(tag);
       }
       binding.call(
-          proxy_.server(), proxy_.instance().service, method_, st->payload,
+          proxy_.server(), proxy_.instance().service, method_,
+          common::BufferPool::instance().acquire_copy(st->payload),
           [this, promise, st](const someip::Message& response) mutable {
             const ft::RetryBudget& budget = proxy_.retry_policy();
             if (response.type == someip::MessageType::kError ||

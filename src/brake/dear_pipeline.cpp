@@ -3,7 +3,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <unordered_map>
+#include <vector>
 
 #include "analysis/report.hpp"
 #include "analysis/rules.hpp"
@@ -371,8 +371,18 @@ PipelineResult run_dear_pipeline(const DearScenarioConfig& config) {
   PipelineResult result;
   // Physical arrival time of each frame at the adapter, for end-to-end
   // latency accounting (capture→brake would need cross-clock conversion;
-  // arrival→brake is the portion the pipeline controls).
-  std::unordered_map<std::uint64_t, TimePoint> arrival_time;
+  // arrival→brake is the portion the pipeline controls). Slots are indexed
+  // by frame_id: a frame reaches EBA (or is lost) long before
+  // kArrivalSlots later frames arrive, so no pending entry is overwritten,
+  // and recording an arrival allocates nothing.
+  struct Arrival {
+    std::uint64_t frame_id{0};
+    TimePoint time{0};
+    bool pending{false};
+  };
+  constexpr std::size_t kArrivalSlots = 256;
+  std::vector<Arrival> arrivals(kArrivalSlots);
+  std::optional<std::uint64_t> last_arrival_id;
 
   auto& adapter_logic = adapter.logic<AdapterLogic>(adapter_cost);
   auto& preproc_logic = preproc.logic<PreprocessingLogic>(preproc_cost);
@@ -390,15 +400,15 @@ PipelineResult run_dear_pipeline(const DearScenarioConfig& config) {
         mix_digest(result.output_digest, vehicles.frame_id);
         mix_digest(result.output_digest, command.brake ? 1 : 0);
         mix_digest(result.output_digest, static_cast<std::uint64_t>(command.intensity * 1e6));
-        const auto it = arrival_time.find(vehicles.frame_id);
-        if (it != arrival_time.end()) {
+        Arrival& arrival = arrivals[vehicles.frame_id % kArrivalSlots];
+        if (arrival.pending && arrival.frame_id == vehicles.frame_id) {
           // The logical offset from the sensor tag is the deterministic
           // part of the tag; the absolute tag follows the camera/network
           // timing inputs.
-          mix_digest(result.tag_digest, static_cast<std::uint64_t>(tag.time - it->second));
+          mix_digest(result.tag_digest, static_cast<std::uint64_t>(tag.time - arrival.time));
           mix_digest(result.tag_digest, tag.microstep);
-          result.latency.add(static_cast<double>(kernel.now() - it->second));
-          arrival_time.erase(it);
+          result.latency.add(static_cast<double>(kernel.now() - arrival.time));
+          arrival.pending = false;
         }
       },
       ft_on ? config.period : Duration{0},
@@ -461,7 +471,17 @@ PipelineResult run_dear_pipeline(const DearScenarioConfig& config) {
     if (!decode_camera_packet(packet.payload, frame)) {
       return;
     }
-    arrival_time.emplace(frame.frame_id, kernel.now());
+    // A stuck sensor re-sends the previous frame under the same frame_id.
+    // Only the first copy records an arrival: whether a re-send found the
+    // first copy's entry still pending would depend on platform timing,
+    // and with it the tag digest.
+    if (last_arrival_id != frame.frame_id) {
+      last_arrival_id = frame.frame_id;
+      Arrival& arrival = arrivals[frame.frame_id % kArrivalSlots];
+      if (!arrival.pending || arrival.frame_id != frame.frame_id) {
+        arrival = Arrival{frame.frame_id, kernel.now(), true};
+      }
+    }
     adapter_logic.frame_arrival.schedule(frame);
   });
 

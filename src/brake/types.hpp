@@ -6,9 +6,10 @@
 // makes drops and misalignment exactly detectable.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <vector>
 
+#include "common/inline_vector.hpp"
 #include "someip/serialization.hpp"
 
 namespace dear::brake {
@@ -48,13 +49,18 @@ struct Vehicle {
   bool operator==(const Vehicle&) const = default;
 };
 
+/// Vehicles one detection can report; detect_vehicles yields at most 3.
+/// Held inline so a list is copied and decoded without the allocator; a
+/// wire list longer than this fails to decode.
+inline constexpr std::size_t kMaxVehicles = 4;
+
 struct VehicleList {
   /// Frame the detection ran on.
   std::uint64_t frame_id{0};
   /// Frame the lane information came from; != frame_id means the inputs
   /// were misaligned (paper §IV.A).
   std::uint64_t lane_frame_id{0};
-  std::vector<Vehicle> vehicles;
+  common::InlineVector<Vehicle, kMaxVehicles> vehicles;
 
   bool operator==(const VehicleList&) const = default;
 };

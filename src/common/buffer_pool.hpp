@@ -2,11 +2,13 @@
 //
 // Every SOME/IP message used to allocate (at least) two fresh
 // std::vector<uint8_t>s: one in the Writer while encoding and one for the
-// decoded payload. BufferPool closes the loop: senders acquire() a buffer
-// with warm capacity, the network layers release() the packet payload back
-// once the receive handler returns, and a steady-state message stream
-// touches the system allocator zero times (asserted by the
-// allocation-count regression tests).
+// decoded payload. BufferPool closes the loop: encode_payload and the
+// bindings acquire() buffers with warm capacity, the bindings release()
+// a payload once it is sent or delivered, the network layers release()
+// the packet payload once the receive handler returns, and a steady-state
+// frame stream touches the system allocator zero times (asserted by the
+// allocation-count regression tests). The rule that keeps the pool
+// bounded: every buffer released into it was acquired from it.
 //
 // acquire/release first hit a small thread-local stash (no atomics): a
 // campaign worker's scenarios recycle wire buffers entirely within the
@@ -72,8 +74,10 @@ class BufferPool {
     return *pool;
   }
 
-  /// An empty buffer, with the capacity it retired with (plus a reserve
-  /// hint for cold starts).
+  /// An empty buffer, with the capacity it retired with and at least
+  /// max(reserve_hint, kMinCapacity). The floor sizes a cold buffer for
+  /// any frame-path message at once, so buffers never regrow as they
+  /// circulate between message types of different sizes.
   [[nodiscard]] std::vector<std::uint8_t> acquire(std::size_t reserve_hint = 0) {
     std::vector<std::uint8_t> buffer;
     if (ThreadCache* cache = ThreadCacheSlot<BufferPool>::get()) {
@@ -88,12 +92,26 @@ class BufferPool {
     } else {
       buffer = acquire_global();
     }
+    if (reserve_hint < kMinCapacity) {
+      reserve_hint = kMinCapacity;
+    }
     if (buffer.capacity() < reserve_hint) {
       buffer.reserve(reserve_hint);
     }
     return buffer;
   }
 
+  /// A pooled buffer holding a copy of `bytes` — for a second owner of a
+  /// payload that will itself be released into the pool.
+  [[nodiscard]] std::vector<std::uint8_t> acquire_copy(const std::vector<std::uint8_t>& bytes) {
+    std::vector<std::uint8_t> buffer = acquire(bytes.size());
+    buffer.assign(bytes.begin(), bytes.end());
+    return buffer;
+  }
+
+  /// Takes back a buffer that acquire() or acquire_copy() handed out.
+  /// Releasing any other vector grows the pool: the retained set then
+  /// fills up to its byte budget with buffers no acquire() drains.
   void release(std::vector<std::uint8_t>&& buffer) noexcept {
     // The capacity ceiling keeps one-off giants (a large frame payload)
     // from pinning process memory for the pool's lifetime; anything larger
@@ -181,6 +199,8 @@ class BufferPool {
  public:
   /// Per-buffer capacity ceiling on the small (vector) plane.
   static constexpr std::size_t kMaxRetainedCapacity = 16 * 1024;
+  /// Capacity floor of every acquired buffer (see acquire()).
+  static constexpr std::size_t kMinCapacity = 256;
   /// Byte budget for the small-buffer global shelf — the old count cap
   /// (1024 buffers) implicitly assumed small buffers; this makes the
   /// worst case it allowed (1024 x 16 KiB = 16 MiB) the explicit bound
@@ -407,41 +427,5 @@ class LoanedBuffer {
 };
 
 inline LoanedBuffer BufferPool::loan(std::size_t bytes) { return LoanedBuffer(acquire_slab(bytes)); }
-
-/// RAII custody of an in-flight pooled buffer: releases the payload back
-/// to the BufferPool when destroyed still armed, so a delivery event that
-/// dies unrun (kernel or executor torn down mid-flight at scenario end)
-/// cannot bleed buffers out of the pool's steady state. take() hands the
-/// payload to the receive path and stands the keeper down.
-///
-/// Copyable only because std::function demands it of its captures; a copy
-/// duplicates the bytes and owns its own release (no copy happens on the
-/// send paths — handlers are constructed from rvalues).
-class PooledBuffer {
- public:
-  explicit PooledBuffer(std::vector<std::uint8_t>&& payload) noexcept
-      : payload_(std::move(payload)) {}
-  PooledBuffer(PooledBuffer&& other) noexcept
-      : payload_(std::move(other.payload_)), armed_(other.armed_) {
-    other.armed_ = false;
-  }
-  PooledBuffer(const PooledBuffer& other) : payload_(other.payload_), armed_(other.armed_) {}
-  PooledBuffer& operator=(PooledBuffer&&) = delete;
-  PooledBuffer& operator=(const PooledBuffer&) = delete;
-  ~PooledBuffer() {
-    if (armed_) {
-      BufferPool::instance().release(std::move(payload_));
-    }
-  }
-
-  [[nodiscard]] std::vector<std::uint8_t> take() noexcept {
-    armed_ = false;
-    return std::move(payload_);
-  }
-
- private:
-  std::vector<std::uint8_t> payload_;
-  bool armed_{true};
-};
 
 }  // namespace dear::common

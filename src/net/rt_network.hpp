@@ -10,6 +10,7 @@
 #include <unordered_map>
 
 #include "common/executor.hpp"
+#include "common/slot_table.hpp"
 #include "net/network.hpp"
 
 namespace dear::net {
@@ -17,6 +18,9 @@ namespace dear::net {
 class RtNetwork final : public Network {
  public:
   explicit RtNetwork(common::Executor& executor) : executor_(executor) {}
+  ~RtNetwork() override;
+  RtNetwork(const RtNetwork&) = delete;
+  RtNetwork& operator=(const RtNetwork&) = delete;
 
   void bind(Endpoint endpoint, ReceiveHandler handler) override {
     const std::lock_guard<std::mutex> lock(mutex_);
@@ -46,9 +50,13 @@ class RtNetwork final : public Network {
   }
 
  private:
+  void deliver(std::size_t slot);
+
   common::Executor& executor_;
   mutable std::mutex mutex_;
   std::unordered_map<Endpoint, ReceiveHandler, EndpointHash> receivers_;
+  /// Packets awaiting their delivery task, which captures only [this, slot].
+  common::SlotTable<Packet> in_flight_;
   std::uint64_t sent_{0};
   std::uint64_t delivered_{0};
   std::uint64_t dropped_{0};

@@ -48,27 +48,33 @@ void SimNetwork::schedule_delivery(const LinkParams& link, PairState& pair, Pack
     pair.last_scheduled_delivery = delivery;
   }
 
-  // The keeper returns the payload to the pool even when the delivery
-  // event dies unrun (kernel torn down mid-flight at scenario end).
-  common::PooledBuffer keeper(std::move(packet.payload));
-  kernel_.schedule_at(delivery,
-                      [this, packet = std::move(packet), keeper = std::move(keeper)]() mutable {
-    // A partition severs the cable: packets in flight when the link went
-    // down die at their delivery time instead of landing.
-    if (link_down(packet.source.node, packet.destination.node)) {
-      ++partition_dropped_;
-      return;  // keeper recycles the buffer
-    }
-    const auto it = receivers_.find(packet.destination);
-    if (it == receivers_.end()) {
-      ++dropped_;
-      return;  // keeper recycles the buffer
-    }
-    packet.payload = keeper.take();
+  const std::size_t slot = in_flight_.put(std::move(packet));
+  kernel_.schedule_at(delivery, [this, slot] { deliver(slot); });
+}
+
+void SimNetwork::deliver(std::size_t slot) {
+  // Taken out first: the receive handler may send, and a send may reuse
+  // the slot or grow the table.
+  Packet packet = in_flight_.take(slot);
+  // A partition severs the cable: packets in flight when the link went
+  // down die at their delivery time instead of landing.
+  if (link_down(packet.source.node, packet.destination.node)) {
+    ++partition_dropped_;
+  } else if (const auto it = receivers_.find(packet.destination); it == receivers_.end()) {
+    ++dropped_;
+  } else {
     packet.receive_time = kernel_.now();
     ++delivered_;
     it->second(packet);
-    // Recycle the wire buffer once the receive handler returns.
+  }
+  // Recycle the wire buffer once the receive handler returns.
+  common::BufferPool::instance().release(std::move(packet.payload));
+}
+
+void SimNetwork::release_in_flight() noexcept {
+  // Delivered slots hold moved-from (capacity 0) payloads, which the pool
+  // ignores.
+  in_flight_.for_each([](Packet& packet) {
     common::BufferPool::instance().release(std::move(packet.payload));
   });
 }
@@ -98,7 +104,13 @@ void SimNetwork::send(Endpoint source, Endpoint destination, std::vector<std::ui
   auto& pair = pair_state_[{source.node, destination.node}];
   if (duplicate) {
     ++duplicated_;
-    schedule_delivery(link, pair, packet);
+    // The copy is released into the pool after delivery like the
+    // original, so it must come from the pool too.
+    schedule_delivery(link, pair,
+                      Packet{.source = source,
+                             .destination = destination,
+                             .payload = common::BufferPool::instance().acquire_copy(packet.payload),
+                             .send_time = packet.send_time});
   }
   schedule_delivery(link, pair, std::move(packet));
 }

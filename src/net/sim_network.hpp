@@ -16,6 +16,7 @@
 #include <utility>
 
 #include "common/rng.hpp"
+#include "common/slot_table.hpp"
 #include "net/network.hpp"
 #include "obs/obs.hpp"
 #include "sim/exec_time_model.hpp"
@@ -38,11 +39,14 @@ struct LinkParams {
 class SimNetwork final : public Network {
  public:
   SimNetwork(sim::Kernel& kernel, common::Rng rng);
+  SimNetwork(const SimNetwork&) = delete;
+  SimNetwork& operator=(const SimNetwork&) = delete;
 
   /// Lifetime totals flush into the metrics registry at teardown; the
   /// delivery hot path keeps its plain member counters. The duplicated
   /// count doubles as the registry backing for `net.packets_duplicated`.
   ~SimNetwork() override {
+    release_in_flight();
     obs::count(obs::Counter::kNetPacketsSent, sent_);
     obs::count(obs::Counter::kNetPacketsDelivered, delivered_);
     obs::count(obs::Counter::kNetPacketsDropped, dropped_);
@@ -97,6 +101,10 @@ class SimNetwork final : public Network {
   [[nodiscard]] const LinkParams& link_for(NodeId source, NodeId destination) const;
 
   void schedule_delivery(const LinkParams& link, PairState& pair, Packet packet);
+  void deliver(std::size_t slot);
+  /// Returns the payloads of packets whose delivery never ran (kernel torn
+  /// down mid-flight at scenario end) to the pool.
+  void release_in_flight() noexcept;
 
   sim::Kernel& kernel_;
   common::Rng rng_;
@@ -107,6 +115,8 @@ class SimNetwork final : public Network {
   std::set<std::pair<NodeId, NodeId>> down_links_;
   std::unordered_map<Endpoint, ReceiveHandler, EndpointHash> receivers_;
   std::map<std::pair<NodeId, NodeId>, PairState> pair_state_;
+  /// Packets in flight; a delivery event captures only [this, slot].
+  common::SlotTable<Packet> in_flight_;
   std::uint64_t sent_{0};
   std::uint64_t delivered_{0};
   std::uint64_t dropped_{0};

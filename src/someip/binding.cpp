@@ -37,7 +37,7 @@ Binding::~Binding() {
   obs::count(obs::Counter::kSomeipTimeouts, timeouts_);
 }
 
-void Binding::send_message(const net::Endpoint& destination, Message message) {
+void Binding::send_message(const net::Endpoint& destination, Message& message) {
   // The paper's modification: pick up a pending tag from the bypass and
   // attach it to the outgoing message (Figure 3, steps 5 and 16).
   message.tag = send_bypass_.collect();
@@ -65,6 +65,12 @@ void Binding::send_message(const net::Endpoint& destination, Message message) {
   network_.send(self_, destination, std::move(wire));
 }
 
+void Binding::send_once(const net::Endpoint& destination, Message message) {
+  send_message(destination, message);
+  // Payloads come from encode_payload (a pool buffer) or are empty.
+  common::BufferPool::instance().release(std::move(message.payload));
+}
+
 SessionId Binding::call(const net::Endpoint& server, ServiceId service, MethodId method,
                         std::vector<std::uint8_t> payload, ResponseHandler on_response,
                         Duration timeout) {
@@ -86,7 +92,7 @@ SessionId Binding::call(const net::Endpoint& server, ServiceId service, MethodId
   message.session = session;
   message.type = MessageType::kRequest;
   message.payload = std::move(payload);
-  send_message(server, std::move(message));
+  send_once(server, std::move(message));
 
   if (timeout > 0) {
     executor_.post_after(timeout, [this, session, service, method] {
@@ -127,25 +133,17 @@ void Binding::call_no_return(const net::Endpoint& server, ServiceId service, Met
     const std::lock_guard<std::mutex> lock(mutex_);
     ++requests_sent_;
   }
-  send_message(server, std::move(message));
+  send_once(server, std::move(message));
 }
 
 void Binding::subscribe(const net::Endpoint& server, ServiceId service, EventId event,
                         NotificationHandler handler) {
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    event_handlers_[{service, event}] = std::move(handler);
+    event_handlers_[{service, event}] =
+        std::make_shared<const NotificationHandler>(std::move(handler));
   }
-  Writer writer;
-  writer.write_u16(service);
-  writer.write_u16(event);
-  Message message;
-  message.service = kControlService;
-  message.method = kSubscribeMethod;
-  message.client = client_id_;
-  message.type = MessageType::kRequestNoReturn;
-  message.payload = writer.take();
-  send_message(server, std::move(message));
+  send_control(server, kSubscribeMethod, service, event);
 }
 
 void Binding::unsubscribe(const net::Endpoint& server, ServiceId service, EventId event) {
@@ -153,16 +151,18 @@ void Binding::unsubscribe(const net::Endpoint& server, ServiceId service, EventI
     const std::lock_guard<std::mutex> lock(mutex_);
     event_handlers_.erase({service, event});
   }
-  Writer writer;
-  writer.write_u16(service);
-  writer.write_u16(event);
+  send_control(server, kUnsubscribeMethod, service, event);
+}
+
+void Binding::send_control(const net::Endpoint& server, MethodId method, ServiceId service,
+                           EventId event) {
   Message message;
   message.service = kControlService;
-  message.method = kUnsubscribeMethod;
+  message.method = method;
   message.client = client_id_;
   message.type = MessageType::kRequestNoReturn;
-  message.payload = writer.take();
-  send_message(server, std::move(message));
+  message.payload = encode_payload(service, event);
+  send_once(server, std::move(message));
 }
 
 void Binding::provide_method(ServiceId service, MethodId method, RequestHandler handler) {
@@ -185,16 +185,33 @@ void Binding::respond(const Message& request, const net::Endpoint& to,
   message.type = return_code == ReturnCode::kOk ? MessageType::kResponse : MessageType::kError;
   message.return_code = return_code;
   message.payload = std::move(payload);
-  send_message(to, std::move(message));
+  send_once(to, std::move(message));
 }
 
 void Binding::notify(ServiceId service, EventId event, std::vector<std::uint8_t> payload) {
-  std::vector<net::Endpoint> subscribers;
+  Message message = Message::notification(service, event, client_id_);
+  message.payload = std::move(payload);
+  fan_out(message);
+  common::BufferPool::instance().release(std::move(message.payload));
+}
+
+void Binding::notify_loaned(ServiceId service, EventId event, common::LoanedBuffer payload) {
+  if (!payload) {
+    return;
+  }
+  Message message = Message::notification(service, event, client_id_);
+  // encode_into frames the shared slab; no handle or byte copy per subscriber.
+  message.loaned = std::move(payload);
+  fan_out(message);
+}
+
+void Binding::fan_out(Message& message) {
+  net::EndpointSnapshot subscribers;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = subscribers_.find({service, event});
+    const auto it = subscribers_.find({message.service, message.method});
     if (it != subscribers_.end()) {
-      subscribers = it->second;
+      subscribers.assign(it->second);
     }
     ++notifications_sent_;
   }
@@ -205,46 +222,7 @@ void Binding::notify(ServiceId service, EventId event, std::vector<std::uint8_t>
     if (tag.has_value()) {
       send_bypass_.deposit(*tag);
     }
-    Message message;
-    message.service = service;
-    message.method = event;
-    message.client = client_id_;
-    message.type = MessageType::kNotification;
-    message.payload = payload;
-    send_message(subscriber, std::move(message));
-  }
-}
-
-void Binding::notify_loaned(ServiceId service, EventId event, common::LoanedBuffer payload) {
-  if (!payload) {
-    return;
-  }
-  std::vector<net::Endpoint> subscribers;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = subscribers_.find({service, event});
-    if (it != subscribers_.end()) {
-      subscribers = it->second;
-    }
-    ++notifications_sent_;
-  }
-  const std::optional<WireTag> tag = send_bypass_.collect();
-  for (std::size_t i = 0; i < subscribers.size(); ++i) {
-    if (tag.has_value()) {
-      send_bypass_.deposit(*tag);
-    }
-    Message message;
-    message.service = service;
-    message.method = event;
-    message.client = client_id_;
-    message.type = MessageType::kNotification;
-    // Handle retain, not byte copy: encode_into frames the shared slab.
-    if (i + 1 == subscribers.size()) {
-      message.loaned = std::move(payload);
-    } else {
-      message.loaned = payload;
-    }
-    send_message(subscribers[i], std::move(message));
+    send_message(subscriber, message);
   }
 }
 
@@ -259,31 +237,46 @@ void Binding::on_packet(const net::Packet& packet) {
   // interleave with another message's. Decoding into the scratch message
   // (payload capacity recycled) rides the same serialization.
   const std::lock_guard<std::mutex> receive_lock(receive_mutex_);
+  Message& message = rx_message_;
+  const bool decoded =
+      Message::decode_into(packet.payload.data(), packet.payload.size(), message);
+  // Injected crash, receive side: a down victim does not process tagged
+  // traffic either (messages already in flight at crash time die here).
+  const bool crash_dropped = decoded && fault_plan_ != nullptr && message.tag.has_value() &&
+                             fault_plan_->crashes(self_) &&
+                             fault_plan_->down_at(message.tag->time);
+  std::shared_ptr<const NotificationHandler> notification_handler;
   {
+    // One lock per packet: statistics and the notification-handler lookup.
     const std::lock_guard<std::mutex> lock(mutex_);
     ++msgs_received_;
     bytes_received_ += packet.payload.size();
+    if (!decoded) {
+      ++malformed_received_;
+    } else if (!crash_dropped) {
+      if (message.tag.has_value()) {
+        ++tagged_received_;
+      }
+      if (message.service != kControlService && message.is_notification()) {
+        const auto it =
+            event_handlers_.find({message.service, static_cast<EventId>(message.method)});
+        if (it != event_handlers_.end()) {
+          notification_handler = it->second;
+          ++notifications_received_;
+        }
+      }
+    }
   }
-  if (!Message::decode_into(packet.payload.data(), packet.payload.size(), rx_message_)) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    ++malformed_received_;
+  if (!decoded) {
     DEAR_LOG_WARN(kLogComponent) << self_.to_string() << ": dropping malformed packet from "
                                  << packet.source.to_string();
     return;
   }
-  Message& message = rx_message_;
-  // Injected crash, receive side: a down victim does not process tagged
-  // traffic either (messages already in flight at crash time die here).
-  if (fault_plan_ != nullptr && message.tag.has_value() && fault_plan_->crashes(self_) &&
-      fault_plan_->down_at(message.tag->time)) {
+  if (crash_dropped) {
     fault_plan_->crash_drops.fetch_add(1, std::memory_order_relaxed);
     return;
   }
   if (message.tag.has_value()) {
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      ++tagged_received_;
-    }
     // Figure 3, steps 7 and 18: the modified binding deposits the received
     // tag before invoking the handler.
     receive_bypass_.deposit(*message.tag);
@@ -295,8 +288,8 @@ void Binding::on_packet(const net::Packet& packet) {
     handle_request(message, packet.source);
   } else if (message.is_response()) {
     handle_response(message);
-  } else if (message.is_notification()) {
-    handle_notification(message, packet.source);
+  } else if (notification_handler) {
+    (*notification_handler)(message);
   }
 
   // A tag the handler did not collect is stale; clear it so it cannot be
@@ -372,20 +365,6 @@ void Binding::handle_response(const Message& message) {
     handler = std::move(it->second);
     pending_.erase(it);
     ++responses_received_;
-  }
-  handler(message);
-}
-
-void Binding::handle_notification(const Message& message, const net::Endpoint& /*from*/) {
-  NotificationHandler handler;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = event_handlers_.find({message.service, static_cast<EventId>(message.method)});
-    if (it == event_handlers_.end()) {
-      return;
-    }
-    handler = it->second;
-    ++notifications_received_;
   }
   handler(message);
 }

@@ -16,6 +16,7 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <unordered_set>
 #include <vector>
@@ -84,7 +85,8 @@ class Binding {
   void respond(const Message& request, const net::Endpoint& to,
                std::vector<std::uint8_t> payload, ReturnCode return_code = ReturnCode::kOk);
 
-  /// Sends a notification for (service, event) to all subscribers.
+  /// Sends a notification for (service, event) to all subscribers: one
+  /// message, encoded once per subscriber, never copied.
   void notify(ServiceId service, EventId event, std::vector<std::uint8_t> payload);
 
   /// Loaned-slab notification (sensor data plane): the header + DEAR tag
@@ -142,9 +144,16 @@ class Binding {
   void on_packet(const net::Packet& packet);
   void handle_request(const Message& message, const net::Endpoint& from);
   void handle_response(const Message& message);
-  void handle_notification(const Message& message, const net::Endpoint& from);
   void handle_control(const Message& message, const net::Endpoint& from);
-  void send_message(const net::Endpoint& destination, Message message);
+  /// Attaches the pending send tag and puts `message` on the wire; the
+  /// message (and its payload) stays with the caller.
+  void send_message(const net::Endpoint& destination, Message& message);
+  /// send_message for a one-shot message, then recycles its payload.
+  void send_once(const net::Endpoint& destination, Message message);
+  /// Sends `message` to every subscriber of (message.service, method).
+  void fan_out(Message& message);
+  void send_control(const net::Endpoint& server, MethodId method, ServiceId service,
+                    EventId event);
 
   net::Network& network_;
   common::Executor& executor_;
@@ -179,7 +188,11 @@ class Binding {
   std::size_t recent_request_head_{0};
   std::size_t recent_request_count_{0};
   common::FlatMap<std::pair<ServiceId, MethodId>, RequestHandler> methods_;
-  common::FlatMap<std::pair<ServiceId, EventId>, NotificationHandler> event_handlers_;
+  /// Shared, so the receive path takes a handler reference under mutex_
+  /// without copying the std::function (a subscribe may replace it
+  /// while it runs).
+  common::FlatMap<std::pair<ServiceId, EventId>, std::shared_ptr<const NotificationHandler>>
+      event_handlers_;
   common::FlatMap<std::pair<ServiceId, EventId>, std::vector<net::Endpoint>> subscribers_;
 
   /// Receive-path scratch message (guarded by receive_mutex_): payload

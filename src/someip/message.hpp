@@ -52,6 +52,16 @@ struct Message {
   /// Present on messages sent through the tagged (DEAR-extended) binding.
   std::optional<WireTag> tag;
 
+  /// Header of a notification for (service, event) sent by `client`.
+  [[nodiscard]] static Message notification(ServiceId service, EventId event, ClientId client) {
+    Message message;
+    message.service = service;
+    message.method = event;
+    message.client = client;
+    message.type = MessageType::kNotification;
+    return message;
+  }
+
   /// Bytes of application payload (loaned slab wins over the vector).
   [[nodiscard]] std::size_t payload_size() const noexcept {
     return loaned ? loaned.size() : payload.size();

@@ -2,23 +2,6 @@
 
 namespace dear::someip {
 
-void Writer::write_u16(std::uint16_t v) {
-  bytes_.push_back(static_cast<std::uint8_t>(v >> 8));
-  bytes_.push_back(static_cast<std::uint8_t>(v));
-}
-
-void Writer::write_u32(std::uint32_t v) {
-  bytes_.push_back(static_cast<std::uint8_t>(v >> 24));
-  bytes_.push_back(static_cast<std::uint8_t>(v >> 16));
-  bytes_.push_back(static_cast<std::uint8_t>(v >> 8));
-  bytes_.push_back(static_cast<std::uint8_t>(v));
-}
-
-void Writer::write_u64(std::uint64_t v) {
-  write_u32(static_cast<std::uint32_t>(v >> 32));
-  write_u32(static_cast<std::uint32_t>(v));
-}
-
 void Writer::write_bytes(const std::uint8_t* data, std::size_t size) {
   bytes_.insert(bytes_.end(), data, data + size);
 }
@@ -26,44 +9,6 @@ void Writer::write_bytes(const std::uint8_t* data, std::size_t size) {
 void Writer::write_string(const std::string& s) {
   write_u32(static_cast<std::uint32_t>(s.size()));
   write_bytes(reinterpret_cast<const std::uint8_t*>(s.data()), s.size());
-}
-
-std::uint8_t Reader::read_u8() noexcept {
-  if (!ok_ || position_ + 1 > size_) {
-    ok_ = false;
-    return 0;
-  }
-  return data_[position_++];
-}
-
-std::uint16_t Reader::read_u16() noexcept {
-  if (!ok_ || position_ + 2 > size_) {
-    ok_ = false;
-    return 0;
-  }
-  const auto hi = static_cast<std::uint16_t>(data_[position_]);
-  const auto lo = static_cast<std::uint16_t>(data_[position_ + 1]);
-  position_ += 2;
-  return static_cast<std::uint16_t>((hi << 8) | lo);
-}
-
-std::uint32_t Reader::read_u32() noexcept {
-  if (!ok_ || position_ + 4 > size_) {
-    ok_ = false;
-    return 0;
-  }
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v = (v << 8) | data_[position_ + static_cast<std::size_t>(i)];
-  }
-  position_ += 4;
-  return v;
-}
-
-std::uint64_t Reader::read_u64() noexcept {
-  const auto hi = static_cast<std::uint64_t>(read_u32());
-  const auto lo = static_cast<std::uint64_t>(read_u32());
-  return (hi << 32) | lo;
 }
 
 // Bounds checks compare count against the remaining bytes (size_ -

@@ -5,6 +5,9 @@
 // arrays with 32-bit length fields. User-defined structs opt in by
 // providing ADL-visible `someip_serialize(Writer&, const T&)` and
 // `someip_deserialize(Reader&, T&)` overloads.
+//
+// The fixed-width stores and loads are inline: every field of every
+// message on the frame path goes through them.
 #pragma once
 
 #include <bit>
@@ -15,6 +18,9 @@
 #include <type_traits>
 #include <utility>
 #include <vector>
+
+#include "common/buffer_pool.hpp"
+#include "common/inline_vector.hpp"
 
 namespace dear::someip {
 
@@ -31,9 +37,9 @@ class Writer {
   void reserve(std::size_t bytes) { bytes_.reserve(bytes); }
 
   void write_u8(std::uint8_t v) { bytes_.push_back(v); }
-  void write_u16(std::uint16_t v);
-  void write_u32(std::uint32_t v);
-  void write_u64(std::uint64_t v);
+  void write_u16(std::uint16_t v) { write_be(v); }
+  void write_u32(std::uint32_t v) { write_be(v); }
+  void write_u64(std::uint64_t v) { write_be(v); }
   void write_i8(std::int8_t v) { write_u8(static_cast<std::uint8_t>(v)); }
   void write_i16(std::int16_t v) { write_u16(static_cast<std::uint16_t>(v)); }
   void write_i32(std::int32_t v) { write_u32(static_cast<std::uint32_t>(v)); }
@@ -49,6 +55,15 @@ class Writer {
   [[nodiscard]] std::size_t size() const noexcept { return bytes_.size(); }
 
  private:
+  template <typename U>
+  void write_be(U v) {
+    std::uint8_t raw[sizeof(U)];
+    for (std::size_t i = 0; i < sizeof(U); ++i) {
+      raw[i] = static_cast<std::uint8_t>(v >> (8 * (sizeof(U) - 1 - i)));
+    }
+    bytes_.insert(bytes_.end(), raw, raw + sizeof(U));
+  }
+
   std::vector<std::uint8_t> bytes_;
 };
 
@@ -60,10 +75,10 @@ class Reader {
   explicit Reader(const std::vector<std::uint8_t>& bytes) noexcept
       : Reader(bytes.data(), bytes.size()) {}
 
-  [[nodiscard]] std::uint8_t read_u8() noexcept;
-  [[nodiscard]] std::uint16_t read_u16() noexcept;
-  [[nodiscard]] std::uint32_t read_u32() noexcept;
-  [[nodiscard]] std::uint64_t read_u64() noexcept;
+  [[nodiscard]] std::uint8_t read_u8() noexcept { return read_be<std::uint8_t>(); }
+  [[nodiscard]] std::uint16_t read_u16() noexcept { return read_be<std::uint16_t>(); }
+  [[nodiscard]] std::uint32_t read_u32() noexcept { return read_be<std::uint32_t>(); }
+  [[nodiscard]] std::uint64_t read_u64() noexcept { return read_be<std::uint64_t>(); }
   [[nodiscard]] std::int8_t read_i8() noexcept { return static_cast<std::int8_t>(read_u8()); }
   [[nodiscard]] std::int16_t read_i16() noexcept { return static_cast<std::int16_t>(read_u16()); }
   [[nodiscard]] std::int32_t read_i32() noexcept { return static_cast<std::int32_t>(read_u32()); }
@@ -90,6 +105,22 @@ class Reader {
   void fail() noexcept { ok_ = false; }
 
  private:
+  template <typename U>
+  [[nodiscard]] U read_be() noexcept {
+    // Compares against the remaining bytes, never position_ + width, so
+    // the check cannot wrap.
+    if (!ok_ || sizeof(U) > size_ - position_) {
+      ok_ = false;
+      return 0;
+    }
+    U v = 0;
+    for (std::size_t i = 0; i < sizeof(U); ++i) {
+      v = static_cast<U>((v << 8) | data_[position_ + i]);
+    }
+    position_ += sizeof(U);
+    return v;
+  }
+
   const std::uint8_t* data_;
   std::size_t size_;
   std::size_t position_{0};
@@ -149,11 +180,37 @@ void someip_deserialize(Reader& r, std::vector<T>& v) {
   }
 }
 
-/// Serializes a value pack into a fresh payload (method arguments are
-/// serialized in declaration order).
+/// Same wire format as std::vector; a count beyond the inline capacity
+/// fails the reader instead of growing.
+template <typename T, std::size_t N>
+void someip_serialize(Writer& w, const common::InlineVector<T, N>& v) {
+  w.write_u32(static_cast<std::uint32_t>(v.size()));
+  for (const T& item : v) {
+    someip_serialize(w, item);
+  }
+}
+
+template <typename T, std::size_t N>
+void someip_deserialize(Reader& r, common::InlineVector<T, N>& v) {
+  const std::uint32_t count = r.read_u32();
+  v.clear();
+  if (count > N) {
+    r.fail();
+    return;
+  }
+  for (std::uint32_t i = 0; i < count && r.ok(); ++i) {
+    T item{};
+    someip_deserialize(r, item);
+    v.push_back(item);
+  }
+}
+
+/// Serializes a value pack (method arguments in declaration order) into a
+/// BufferPool buffer. The transport bindings consume payloads and recycle
+/// them into the pool, so an encode/send cycle allocates nothing once warm.
 template <typename... Ts>
 [[nodiscard]] std::vector<std::uint8_t> encode_payload(const Ts&... values) {
-  Writer writer;
+  Writer writer(common::BufferPool::instance().acquire());
   (someip_serialize(writer, values), ...);
   return writer.take();
 }

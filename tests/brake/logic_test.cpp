@@ -148,5 +148,42 @@ TEST(BrakeTypes, CodecRoundTrips) {
   EXPECT_EQ(command, command2);
 }
 
+TEST(BrakeTypes, VehicleListLongerThanInlineCapacityFailsToDecode) {
+  // The wire format is a u32 count plus that many vehicles, as for any
+  // dynamic array; a count beyond the inline capacity must fail the reader
+  // rather than overrun the list.
+  const auto encode_with_count = [](std::uint32_t count, std::uint32_t vehicles_on_wire) {
+    someip::Writer writer;
+    writer.write_u64(7);
+    writer.write_u64(7);
+    writer.write_u32(count);
+    for (std::uint32_t i = 0; i < vehicles_on_wire; ++i) {
+      someip_serialize(writer, Vehicle{i, 10.0, 1.0});
+    }
+    return writer.take();
+  };
+  const auto over = static_cast<std::uint32_t>(kMaxVehicles + 1);
+  for (const auto& bytes : {encode_with_count(over, over), encode_with_count(0xFFFFFFFFu, 2)}) {
+    someip::Reader reader(bytes);
+    VehicleList list;
+    someip_deserialize(reader, list);
+    EXPECT_FALSE(reader.ok());
+    EXPECT_LE(reader.position(), bytes.size());
+    EXPECT_LE(list.vehicles.size(), kMaxVehicles);
+    EXPECT_EQ(reader.read_u32(), 0u) << "a failed reader yields zeros";
+    EXPECT_LE(reader.position(), bytes.size());
+  }
+
+  // A full inline list still round-trips.
+  const auto full = static_cast<std::uint32_t>(kMaxVehicles);
+  const std::vector<std::uint8_t> bytes = encode_with_count(full, full);
+  someip::Reader reader(bytes);
+  VehicleList list;
+  someip_deserialize(reader, list);
+  EXPECT_TRUE(reader.ok());
+  EXPECT_EQ(reader.remaining(), 0u);
+  EXPECT_EQ(list.vehicles.size(), kMaxVehicles);
+}
+
 }  // namespace
 }  // namespace dear::brake

@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "ara/com/local_binding.hpp"
+#include "brake/dear_pipeline.hpp"
 #include "common/buffer_pool.hpp"
 #include "common/pool_allocator.hpp"
 #include "common/thread_pool.hpp"
@@ -392,6 +393,68 @@ TEST(AllocCount, LoanedFrameRoundTripLocalIsAllocationAndCopyFree) {
     EXPECT_EQ(bytes_seen, 116u * 1024u * 1024u);
   }
   executor.drain();
+}
+
+/// Allocations made by one DEAR brake run of `frames` frames.
+std::uint64_t dear_pipeline_allocations(std::uint64_t frames, bool local_transport) {
+  brake::DearScenarioConfig config;
+  config.frames = frames;
+  config.platform_seed = 3;
+  config.local_transport = local_transport;
+  const std::uint64_t before = allocation_count();
+  const brake::PipelineResult result = brake::run_dear_pipeline(config);
+  const std::uint64_t after = allocation_count();
+  EXPECT_EQ(result.frames_processed_eba, frames);
+  return after - before;
+}
+
+TEST(AllocCount, DearFramePathIsAllocationFreeOverSomeIp) {
+  // The whole frame path end to end — camera datagram, sensor tagging,
+  // four tagged SOME/IP hops (encode, SimNetwork delivery, decode,
+  // transactors, reactions) and the untagged monitor subscriber: a run of
+  // 2F frames allocates exactly as often as a run of F frames, i.e. zero
+  // marginal allocations per frame. Only construction and teardown
+  // allocate.
+  constexpr std::uint64_t kFrames = 150;
+  (void)dear_pipeline_allocations(kFrames, false);  // warm the pools
+  const std::uint64_t base = dear_pipeline_allocations(kFrames, false);
+  const std::uint64_t doubled = dear_pipeline_allocations(2 * kFrames, false);
+  EXPECT_EQ(doubled, base) << (static_cast<double>(doubled) - static_cast<double>(base)) /
+                                  static_cast<double>(kFrames)
+                           << " allocations per frame";
+}
+
+TEST(AllocCount, DearFramePathIsAllocationFreeOverLocal) {
+  // Same gate over the in-process LocalBinding.
+  constexpr std::uint64_t kFrames = 150;
+  (void)dear_pipeline_allocations(kFrames, true);  // warm the pools
+  const std::uint64_t base = dear_pipeline_allocations(kFrames, true);
+  const std::uint64_t doubled = dear_pipeline_allocations(2 * kFrames, true);
+  EXPECT_EQ(doubled, base) << (static_cast<double>(doubled) - static_cast<double>(base)) /
+                                  static_cast<double>(kFrames)
+                           << " allocations per frame";
+}
+
+TEST(BufferPoolBalance, DuplicatedPacketsLeaveRetainedBytesFlat) {
+  // Every delivered datagram is released into BufferPool, duplicates
+  // included, so a duplicate must be a pooled copy: a plain heap copy
+  // would add one never-acquired buffer to the pool per duplication and
+  // grow the retained set run after run, up to the byte budget.
+  brake::DearScenarioConfig config;
+  config.frames = 200;
+  config.platform_seed = 5;
+  config.net_duplicate_probability = 0.5;
+  const auto run = [&config] {
+    const brake::PipelineResult result = brake::run_dear_pipeline(config);
+    ASSERT_EQ(result.frames_processed_eba, config.frames);
+  };
+  run();  // warm the pool to the scenario's peak in-flight set
+  run();
+  const std::size_t warm = common::BufferPool::instance().retained_bytes();
+  for (int i = 0; i < 4; ++i) {
+    run();
+  }
+  EXPECT_EQ(common::BufferPool::instance().retained_bytes(), warm);
 }
 
 TEST(AllocCount, BufferPoolRecyclesWireBuffers) {

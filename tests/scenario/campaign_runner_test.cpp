@@ -144,6 +144,25 @@ TEST(CampaignRunner, SensorFaultsShiftTheInputButKeepEachGroupDeterministic) {
   EXPECT_EQ(digests.size(), 2u) << "two input streams, two digests";
 }
 
+TEST(CampaignRunner, StuckFrameReSendsKeepDearTagDigestsInvariant) {
+  // A stuck sensor re-sends the previous frame under its frame_id. The
+  // DEAR brake pipeline used to record the re-send's arrival whenever the
+  // first copy's entry had already been consumed — a platform-timing race
+  // that split the tag digests of 7 digest groups at this seed. Only the
+  // first arrival of a frame_id counts now, on every platform seed.
+  const auto report = runner_with(2).run(presets::fault_sweep(kFrames, 15));
+  EXPECT_GT(report.determinism_groups, 0u);
+  EXPECT_TRUE(report.invariants_ok()) << report.to_table();
+  std::size_t stuck_dear_runs = 0;
+  for (const ScenarioResult& row : report.results) {
+    if (row.spec.workload == Workload::kBrakeDear && row.spec.sensor_faults.stuck_probability > 0) {
+      ++stuck_dear_runs;
+      EXPECT_GT(row.outcome.sensor_faults_injected, 0u) << row.spec.name;
+    }
+  }
+  EXPECT_GT(stuck_dear_runs, 0u) << "the sweep must exercise stuck DEAR frames";
+}
+
 TEST(CampaignRunner, ReportIsIndependentOfWorkerCount) {
   const auto campaign = presets::smoke(200, 17);
   const auto serial = runner_with(1).run(campaign);
